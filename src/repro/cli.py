@@ -6,6 +6,7 @@ Usage::
     tap-repro all  [--fast] [--outdir results/]
     tap-repro fig6 [--fast] [--metrics-out metrics.json] [--audit]
     tap-repro fig6 [--fast] [--trace-out trace.json] [--trace-redact]
+    tap-repro fig6 --million [--workers N]
     tap-repro trace trace.json [--csv breakdown.csv]
     tap-repro chaos [--plan lossy] [--seed S] [--fast] [--list-plans]
     tap-repro report results/ [--json report.json] [--md report.md]
@@ -87,13 +88,11 @@ from repro.experiments import (
     run_hint_staleness,
     run_scatter,
     run_scale_churn,
-    run_scale_latency,
     run_secure_routing,
     run_session_survival,
     run_timing_attack,
     run_tradeoff,
     ScaleChurnConfig,
-    ScaleLatencyConfig,
 )
 
 _FIGURES = {
@@ -122,8 +121,6 @@ _EXTENSIONS = {
                          "anonymous-email reply survival after churn"),
     "scale-churn": (ScaleChurnConfig, run_scale_churn,
                     "compact-engine replica survival at 10^5 nodes"),
-    "scale-latency": (ScaleLatencyConfig, run_scale_latency,
-                      "batched direct-vs-tunnel latency at 10^5 nodes"),
     "durability": (DurabilityConfig, run_durability,
                    "k-replication vs (k,n) erasure under chaos"),
 }
@@ -149,7 +146,7 @@ def _run_one(
         if not hasattr(config_cls, "million"):
             raise SystemExit(
                 f"error: {name} has no million-node configuration "
-                f"(--million applies to scale-churn and scale-latency)"
+                f"(--million applies to fig6 and scale-churn)"
             )
         config = config_cls.million()
     else:
@@ -181,8 +178,8 @@ def _row_summary(name: str, rows: list[dict], config=None) -> dict:
         from repro.experiments.scale_churn import summarize_rows
 
         return summarize_rows(rows, config)
-    if name == "scale-latency":
-        from repro.experiments.scale_latency import summarize_rows
+    if name == "fig6":
+        from repro.experiments.fig6_latency import summarize_rows
 
         return summarize_rows(rows, config)
     if name == "durability":
@@ -535,10 +532,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fast", action="store_true",
                         help="scaled-down config (quick, same shapes)")
     parser.add_argument("--million", action="store_true",
-                        help="the N=10^6 operating point (scale-churn / "
-                             "scale-latency only): chunked routing, "
-                             "shared-memory base sharding, sampled "
-                             "scalar verification")
+                        help="the N=10^6 operating point (fig6 / "
+                             "scale-churn only): fig6 adds 10^5 and 10^6 "
+                             "network sizes; scale-churn chunks routing, "
+                             "shares its base via shared memory and "
+                             "samples scalar verification")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the experiment seed")
     parser.add_argument("--csv", type=pathlib.Path, default=None,

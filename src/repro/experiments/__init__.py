@@ -46,7 +46,6 @@ from repro.experiments.reply_durability import (
     run_reply_durability,
 )
 from repro.experiments.scale_churn import ScaleChurnConfig, run_scale_churn
-from repro.experiments.scale_latency import ScaleLatencyConfig, run_scale_latency
 from repro.experiments.config import DurabilityConfig
 from repro.experiments.durability import run_durability
 from repro.experiments.runner import (
@@ -88,8 +87,6 @@ __all__ = [
     "run_reply_durability",
     "ScaleChurnConfig",
     "run_scale_churn",
-    "ScaleLatencyConfig",
-    "run_scale_latency",
     "DurabilityConfig",
     "run_durability",
     "metrics_rows",

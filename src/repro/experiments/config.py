@@ -132,6 +132,12 @@ class Fig6Config(ExperimentConfig):
         return cls(network_sizes=(100, 500, 1_000), transfers_per_size=20,
                    num_seeds=1)
 
+    @classmethod
+    def million(cls) -> "Fig6Config":
+        """Figure 6 at 10^5 and 10^6 nodes: the same link model,
+        transfers and tunnel lengths, routed on the packet plane."""
+        return cls(network_sizes=(100_000, 1_000_000))
+
 
 @dataclass(frozen=True)
 class ScaleChurnConfig(ExperimentConfig):
@@ -187,56 +193,6 @@ class ScaleChurnConfig(ExperimentConfig):
         on, routing chunked, base shipped via shared memory."""
         return cls(num_nodes=1_000_000, num_anchors=2_000, churn_rounds=3,
                    spot_check_routes=0, scalar_verify_routes=8,
-                   chunk_size=1_024, use_shared_memory=True)
-
-
-@dataclass(frozen=True)
-class ScaleLatencyConfig(ExperimentConfig):
-    """Fig6-class direct-vs-tunnel latency at 10^5 nodes (batched plane).
-
-    Runs entirely on the vectorised packet plane
-    (:mod:`repro.perf.packet`): after ``churn_rounds`` of fail/join
-    churn, every trial routes ``num_transfers`` direct transfers and
-    the same number of TAP tunnels per ``tunnel_lengths`` arm as
-    whole batches, then folds per-hop U[``min_latency_s``,
-    ``max_latency_s``] link draws into per-packet latency sums on the
-    trial's seed stream — the paper's figure 6 latency model at a
-    network size the scalar router cannot sweep.  ``verify_routes``
-    packets per trial are re-routed through the scalar
-    ``CompactOverlay.route`` and must agree hop-for-hop.
-    """
-
-    num_nodes: int = 100_000
-    num_transfers: int = 2_000
-    tunnel_lengths: tuple[int, ...] = (3, 5)
-    churn_rounds: int = 2
-    fail_fraction: float = 0.01
-    join_fraction: float = 0.005
-    min_latency_s: float = 0.010
-    max_latency_s: float = 0.230
-    #: per-trial batch-vs-scalar hop-for-hop cross-checks
-    verify_routes: int = 4
-    #: telemetry sampling budget (drawn on a dedicated stream, so rows
-    #: are identical with telemetry on or off)
-    telemetry_latency_samples: int = 256
-    #: packet-plane window size (None = whole batch at once); any
-    #: value yields identical rows, larger only costs memory
-    chunk_size: int | None = None
-    #: ship the base snapshot to workers as a shared-memory segment
-    use_shared_memory: bool = False
-    seed: int = 2004
-    num_seeds: int = 2
-
-    @classmethod
-    def fast(cls) -> "ScaleLatencyConfig":
-        return cls(num_nodes=2_000, num_transfers=200, verify_routes=2,
-                   telemetry_latency_samples=64)
-
-    @classmethod
-    def million(cls) -> "ScaleLatencyConfig":
-        """The N=10^6 operating point (chunked, shared-memory base)."""
-        return cls(num_nodes=1_000_000, num_transfers=2_000,
-                   churn_rounds=1, verify_routes=4,
                    chunk_size=1_024, use_shared_memory=True)
 
 

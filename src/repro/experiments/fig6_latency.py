@@ -15,18 +15,34 @@ fileid three ways:
 The underlying node paths come from real Pastry routing over the
 built overlay; transfer times from the store-and-forward model (each
 relay receives the full message before forwarding — the paper's
-whole-message Java emulation).  We do not expect the paper's absolute
-seconds (its latency distribution is only loosely specified); the
-ordering, ratios, and growth with l and N are the reproduced shape.
+whole-message Java emulation) over the per-pair link latencies of
+:class:`repro.simnet.topology.Topology`.  We do not expect the paper's
+absolute seconds (its latency distribution is only loosely
+specified); the ordering, ratios, and growth with l and N are the
+reproduced shape.
+
+Routing engine.  With the default ``pns=False`` the overlay is the
+canonical one :class:`repro.perf.compact.CompactOverlay` represents
+exactly, so each cell routes its transfers as batches on the packet
+plane: one ``route_many`` for the overt arm and one
+``route_tunnels(..., keep_legs=True)`` per tunnel length, with node
+paths read back from ``BatchRouteResult.path``.  That makes
+10^5–10^6-node networks sizes of the same experiment
+(:meth:`Fig6Config.million`).  Proximity neighbour selection
+(``pns=True``) builds routing tables the compact plane cannot
+represent, so that input routes on the object engine
+(:class:`repro.pastry.network.PastryNetwork`), which is also the
+oracle the packet-plane paths are tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.idspace import pack_ids
 from repro.analysis.theory import expected_route_hops
 from repro.experiments.config import Fig6Config
-from repro.pastry.network import PastryNetwork
+from repro.pastry.network import PastryNetwork, RoutingError
 from repro.perf import (
     base_snapshot,
     capture_obs,
@@ -35,11 +51,22 @@ from repro.perf import (
     merge_obs,
     run_trials,
 )
+from repro.perf.compact import CompactOverlay
 from repro.perf.parallel import shared_payload
 from repro.simnet.topology import Topology
 from repro.simnet.transport import TransferModel, path_transfer_time
 from repro.util.ids import random_id
 from repro.util.rng import SeedSequenceFactory
+
+#: ``(span_name, leg_path)`` pairs partitioning a path's links
+Legs = list[tuple[str, list[int]]]
+#: one tunnel's ``(basic_path, optimised_path, basic_legs, opt_legs)``
+TunnelPaths = tuple[list[int], list[int], Legs, Legs]
+#: one transfer's overt path plus its tunnel paths per tunnel length
+TransferPaths = tuple[list[int], list[TunnelPaths]]
+#: one transfer's random inputs: initiator index into the ascending
+#: alive ids, file id, and the hop keys of each tunnel length
+Draw = tuple[int, int, list[list[int]]]
 
 
 def _stitch(*segments: list[int]) -> list[int]:
@@ -52,37 +79,28 @@ def _stitch(*segments: list[int]) -> list[int]:
     return path
 
 
-def _tunnel_paths(
-    network: PastryNetwork,
+def _assemble(
     initiator: int,
-    destination_key: int,
-    hop_keys: list[int],
-) -> tuple[list[int], list[int], list[tuple[str, list[int]]], list[tuple[str, list[int]]]]:
-    """Paths *and* per-leg decomposition through the same tunnel hops.
+    segments: list[list[int]],
+    exit_path: list[int],
+) -> TunnelPaths:
+    """Paths *and* per-leg decomposition through one tunnel's hops.
 
-    Returns ``(basic_path, optimised_path, basic_legs, opt_legs)``;
-    legs are ``(span_name, leg_path)`` pairs whose link sets partition
-    the stitched path — so per-leg transfer times sum exactly to the
+    ``segments`` are the DHT routes from the initiator to each tunnel
+    hop's root in turn (each ends at that root), ``exit_path`` the
+    route from the last root to the destination key.  Returns
+    ``(basic_path, optimised_path, basic_legs, opt_legs)``; legs are
+    ``(span_name, leg_path)`` pairs whose link sets partition the
+    stitched path — so per-leg transfer times sum exactly to the
     full-path transfer time under the additive store-and-forward model
     (the invariant the span export relies on).
     """
-    roots = [network.closest_alive(h) for h in hop_keys]
+    basic = _stitch(*segments, exit_path)
+    basic_legs = [("dht.route", seg) for seg in segments]
+    basic_legs.append(("exit.route", exit_path))
 
-    basic_segments = []
-    current = initiator
-    for hop_key, root in zip(hop_keys, roots):
-        seg = network.route(current, hop_key)
-        assert seg.success and seg.destination == root
-        basic_segments.append(seg.path)
-        current = root
-    exit_seg = network.route(current, destination_key)
-    assert exit_seg.success
-    basic = _stitch(*basic_segments, exit_seg.path)
-    basic_legs = [("dht.route", seg) for seg in basic_segments]
-    basic_legs.append(("exit.route", exit_seg.path))
-
-    waypoints = [initiator, *roots, exit_seg.destination]
-    opt_legs: list[tuple[str, list[int]]] = []
+    waypoints = [initiator, *(seg[-1] for seg in segments), exit_path[-1]]
+    opt_legs: Legs = []
     for i, (a, b) in enumerate(zip(waypoints, waypoints[1:])):
         if a == b:
             continue  # co-located waypoints cost no link
@@ -90,6 +108,109 @@ def _tunnel_paths(
         opt_legs.append((name, [a, b]))
     optimised = _stitch(*[leg for _, leg in opt_legs]) or [initiator]
     return basic, optimised, basic_legs, opt_legs
+
+
+def _tunnel_paths(
+    network: PastryNetwork,
+    initiator: int,
+    destination_key: int,
+    hop_keys: list[int],
+) -> TunnelPaths:
+    """:func:`_assemble` over object-engine routes through ``hop_keys``."""
+    segments = []
+    current = initiator
+    for hop_key in hop_keys:
+        seg = network.route(current, hop_key)
+        if not (seg.success and seg.destination == network.closest_alive(hop_key)):
+            raise RoutingError(f"tunnel leg to {hop_key:#x} missed its root")
+        segments.append(seg.path)
+        current = seg.destination
+    exit_seg = network.route(current, destination_key)
+    if not exit_seg.success:
+        raise RoutingError(f"exit route to {destination_key:#x} failed")
+    return _assemble(initiator, segments, exit_seg.path)
+
+
+def _draw_transfers(config: Fig6Config, rng, num_alive: int) -> list[Draw]:
+    """One cell's random inputs, in the draw order both engines share."""
+    draws = []
+    for _ in range(config.transfers_per_size):
+        initiator = rng.randrange(num_alive)
+        fid = random_id(rng)
+        hop_keys = [
+            [random_id(rng) for _ in range(length)]
+            for length in config.tunnel_lengths
+        ]
+        draws.append((initiator, fid, hop_keys))
+    return draws
+
+
+def _network_paths(network: PastryNetwork, draws: list[Draw]) -> list[TransferPaths]:
+    """Every transfer's paths, routed hop by hop on the object engine
+    (the ``pns=True`` engine and the packet plane's test oracle)."""
+    alive = network.alive_ids
+    out = []
+    for index, fid, hop_keys in draws:
+        initiator = alive[index]
+        overt = network.route(initiator, fid)
+        if not overt.success:
+            raise RoutingError(f"overt route to {fid:#x} failed")
+        out.append((
+            overt.path,
+            [_tunnel_paths(network, initiator, fid, keys) for keys in hop_keys],
+        ))
+    return out
+
+
+def _compact_paths(
+    overlay: CompactOverlay,
+    draws: list[Draw],
+    tunnel_lengths: tuple[int, ...],
+) -> tuple[list[TransferPaths], list[int]]:
+    """Every transfer's paths, routed as batches on the packet plane.
+
+    Returns the same per-transfer paths as :func:`_network_paths` on
+    the materialised overlay, plus the hop count of every Pastry route
+    in the object engine's call order (overt, then each tunnel's legs
+    and exit route) for the ``pastry.route.*`` instruments.  Raises
+    :class:`RoutingError` unless every route succeeds and every tunnel
+    leg stops at its hop key's root (``replica_positions(key, 1)``).
+    """
+    num = len(draws)
+    src = overlay.alive_positions()[[index for index, _, _ in draws]]
+    fid_hi, fid_lo = pack_ids(fid for _, fid, _ in draws)
+    overt = overlay.route_many(src, fid_hi, fid_lo)
+    if not overt.success.all():
+        raise RoutingError("overt route failed")
+
+    tunnels = []
+    for j, length in enumerate(tunnel_lengths):
+        hop_hi, hop_lo = pack_ids(key for _, _, hops in draws for key in hops[j])
+        res = overlay.route_tunnels(
+            src, hop_hi.reshape(num, length), hop_lo.reshape(num, length),
+            fid_hi, fid_lo, keep_legs=True,
+        )
+        if not res.success.all():
+            raise RoutingError("tunnel route failed")
+        if length:
+            roots = overlay.replica_positions(hop_hi, hop_lo, 1)[:, 0]
+            stops = np.stack([leg.dest_pos for leg in res.legs[:-1]], axis=1)
+            if not np.array_equal(stops.ravel(), roots):
+                raise RoutingError("tunnel leg missed its hop key's root")
+        tunnels.append(res)
+
+    out: list[TransferPaths] = []
+    hops: list[int] = []
+    for i in range(num):
+        overt_path = overt.path(i)
+        hops.append(int(overt.hops[i]))
+        per_length = []
+        for res in tunnels:
+            legs = [leg.path(i) for leg in res.legs]
+            hops.extend(int(leg.hops[i]) for leg in res.legs)
+            per_length.append(_assemble(overt_path[0], legs[:-1], legs[-1]))
+        out.append((overt_path, per_length))
+    return out, hops
 
 
 def _fig6_topology(config: Fig6Config, n_nodes: int) -> Topology:
@@ -116,20 +237,40 @@ def _fig6_base_build(config: Fig6Config, n_nodes: int):
     One overlay per ``(config, n_nodes)``: repetitions vary the
     initiators/fileids/tunnels they sample, not the substrate — so the
     N-node construction (and the PNS candidate ranking in particular)
-    is paid once, and every rep forks the snapshot.
+    is paid once, and every rep restores the snapshot.  The canonical
+    overlay is a :class:`CompactSnapshot` (sorted id words); only PNS
+    needs the object engine's :class:`NetworkSnapshot`.
     """
     seeds = SeedSequenceFactory(config.seed)
     rng = seeds.pyrandom("fig6-base", n_nodes)
     ids = set()
     while len(ids) < n_nodes:
         ids.add(random_id(rng))
+    if not config.pns:
+        return CompactOverlay.from_ids(ids, b_bits=config.b_bits).snapshot()
     topology = _fig6_topology(config, n_nodes)
     network = PastryNetwork.build(
-        ids,
-        b_bits=config.b_bits,
-        proximity=topology.latency if config.pns else None,
+        ids, b_bits=config.b_bits, proximity=topology.latency,
     )
     return network.snapshot()
+
+
+def _audit(network: PastryNetwork, metrics, n_nodes: int, rep: int) -> None:
+    from repro.obs.audit import InvariantAuditor
+
+    InvariantAuditor(network, metrics=metrics).assert_clean(
+        f"fig6 build n={n_nodes} rep={rep}"
+    )
+
+
+def _observe_routes(metrics, hops: list[int]) -> None:
+    """The ``pastry.route.*`` instruments the object engine's ``route``
+    feeds, for routes taken on the packet plane."""
+    count = metrics.counter("pastry.route.count")
+    histogram = metrics.histogram("pastry.route.hops")
+    for h in hops:
+        count.inc()
+        histogram.observe(h)
 
 
 def _fig6_leg(
@@ -148,10 +289,13 @@ def _fig6_leg(
     out.  Observability objects are whatever the caller hands in (the
     parent's in a serial run, worker-local ones under fan-out).
 
-    The overlay is a fork of the per-size base snapshot: taken from
-    the ``run_trials(shared=...)`` payload when fanned out, else from
-    the process-local :func:`base_snapshot` cache — both hold the same
-    deterministic build, so rows are identical either way.
+    The overlay is restored from the per-size base snapshot: taken
+    from the ``run_trials(shared=...)`` payload when fanned out, else
+    from the process-local :func:`base_snapshot` cache — both hold the
+    same deterministic build, so rows are identical either way.  Under
+    ``audit`` the :class:`InvariantAuditor` checks the object-engine
+    view of that overlay (for the compact plane, its materialisation
+    bridge).
     """
     seeds = SeedSequenceFactory(config.seed)
     acc: list[tuple[tuple[int, str], float]] = []
@@ -163,14 +307,23 @@ def _fig6_leg(
     snap = payload.get(token) if payload else None
     if snap is None:
         snap = base_snapshot(token, lambda: _fig6_base_build(config, n_nodes))
-    network = snap.restore(metrics=metrics)
-    if audit:
-        from repro.obs.audit import InvariantAuditor
-
-        InvariantAuditor(network, metrics=metrics).assert_clean(
-            f"fig6 build n={n_nodes} rep={rep}"
+    if config.pns:
+        network = snap.restore(metrics=metrics)
+        if audit:
+            _audit(network, metrics, n_nodes, rep)
+        transfers = _network_paths(
+            network, _draw_transfers(config, rng, network.size)
         )
-    alive = network.alive_ids
+    else:
+        overlay = snap.restore()
+        if audit:
+            _audit(overlay.to_network_snapshot().restore(), metrics, n_nodes, rep)
+        transfers, route_hops = _compact_paths(
+            overlay, _draw_transfers(config, rng, overlay.num_alive),
+            config.tunnel_lengths,
+        )
+        if metrics is not None:
+            _observe_routes(metrics, route_hops)
 
     def record(
         scheme: str,
@@ -223,19 +376,11 @@ def _fig6_leg(
             for a, b in zip(path, path[1:]):
                 link.observe(topology.latency(a, b))
 
-    for _ in range(config.transfers_per_size):
-        initiator = alive[rng.randrange(len(alive))]
-        fid = random_id(rng)
-
-        overt = network.route(initiator, fid)
-        assert overt.success
-        record("overt", overt.path)
-
-        for length in config.tunnel_lengths:
-            hop_keys = [random_id(rng) for _ in range(length)]
-            basic, optimised, basic_legs, opt_legs = _tunnel_paths(
-                network, initiator, fid, hop_keys
-            )
+    for overt_path, tunnels in transfers:
+        record("overt", overt_path)
+        for length, (basic, optimised, basic_legs, opt_legs) in zip(
+            config.tunnel_lengths, tunnels
+        ):
             record(f"tap-basic-l{length}", basic, basic_legs)
             record(f"tap-opt-l{length}", optimised, opt_legs)
 
@@ -286,7 +431,7 @@ def run_fig6(
     """
     # One base overlay per network size, built in the parent and
     # shipped to workers as the shared payload (pickled once per
-    # worker); every cell forks it instead of re-building.
+    # worker); every cell restores it instead of re-building.
     bases = {
         _fig6_base_token(config, n_nodes): base_snapshot(
             _fig6_base_token(config, n_nodes),
@@ -333,3 +478,55 @@ def run_fig6(
             }
         )
     return rows
+
+
+def summarize_rows(rows: list[dict], config: Fig6Config) -> dict:
+    """Headline indicators from the fig6 rows of ``config`` (for the
+    run ledger and the ``fig6.*`` SLOs — keys are contract).
+
+    * ``fig6.opt_speedup`` — the smallest basic/optimised ratio of
+      mean transfer times over every (size, tunnel length): what the
+      §5 IP hints buy.
+    * ``fig6.opt_bound_ratio`` — the largest optimised mean transfer
+      time over the link model's ceiling for its path,
+      ``(l+1) · (file_bits / bandwidth + max_latency)``: a hinted
+      tunnel crosses at most ``l+1`` links, so a ratio above 1 means a
+      path or a link left the paper's model.
+    * ``fig6.order_violations`` — (size, length) cells where the
+      hinted tunnel is not faster than the basic one, plus sizes where
+      a longer basic tunnel is not slower.  Both orderings hold at
+      every size; ``overt < opt`` does not (from ~10^6 nodes an overt
+      route relays through more nodes than an l=3 hinted tunnel has
+      links), so it is left to the paper-scale figure checks.
+
+    When ``config`` reaches 10^6 nodes every indicator is mirrored
+    under ``scale_1m.fig6_*`` for the million-node SLO gate.
+    """
+    means = {(r["num_nodes"], r["scheme"]): r["transfer_time_s"] for r in rows}
+    lengths = sorted(config.tunnel_lengths)
+    if not means or not lengths:
+        return {}
+    link_ceiling = config.file_bits / config.bandwidth_bps + config.max_latency_s
+    speedup = []
+    bound = []
+    violations = 0
+    for n in config.network_sizes:
+        for length in lengths:
+            basic = means[n, f"tap-basic-l{length}"]
+            opt = means[n, f"tap-opt-l{length}"]
+            speedup.append(basic / opt)
+            bound.append(opt / ((length + 1) * link_ceiling))
+            violations += not opt < basic
+        violations += sum(
+            not means[n, f"tap-basic-l{a}"] < means[n, f"tap-basic-l{b}"]
+            for a, b in zip(lengths, lengths[1:])
+        )
+    out: dict = {
+        "fig6.opt_speedup": min(speedup),
+        "fig6.opt_bound_ratio": max(bound),
+        "fig6.order_violations": violations,
+    }
+    if max(config.network_sizes) >= 1_000_000:
+        for key in list(out):
+            out[key.replace("fig6.", "scale_1m.fig6_", 1)] = out[key]
+    return out

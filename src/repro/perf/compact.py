@@ -77,6 +77,14 @@ def _unpack_scalar(hi, lo) -> int:
     return (int(hi) << _WORD_BITS) | int(lo)
 
 
+def _check_sorted_ids(values: list[int]) -> None:
+    """Reject ids outside [0, 2^128) in an ascending id list (the word
+    packing would silently wrap them onto in-range ids)."""
+    if values and (values[0] < 0 or values[-1] >= ID_SPACE):
+        bad = values[0] if values[0] < 0 else values[-1]
+        raise ValueError(f"node id {bad:#x} outside [0, 2^{ID_BITS})")
+
+
 class CompactOverlay:
     """A whole Pastry ring as sorted word arrays plus an alive mask."""
 
@@ -153,8 +161,10 @@ class CompactOverlay:
         b_bits: int = DEFAULT_B_BITS,
         leaf_set_size: int = DEFAULT_LEAF_SET_SIZE,
     ) -> "CompactOverlay":
-        """Overlay over the given 128-bit ids (any iterable of ints)."""
+        """Overlay over the given 128-bit ids (any iterable of ints);
+        ValueError for ids outside [0, 2^128)."""
         ids = sorted({int(v) for v in node_ids})
+        _check_sorted_ids(ids)
         hi, lo = pack_ids(ids)
         return cls(hi, lo, np.ones(len(ids), dtype=bool), b_bits, leaf_set_size)
 
@@ -306,8 +316,12 @@ class CompactOverlay:
         return unpack_words(ahi, alo)
 
     def positions_of(self, node_ids) -> np.ndarray:
-        """Global array positions of the given ids; KeyError if absent."""
+        """Global array positions of the given ids; KeyError if absent
+        (ids outside [0, 2^128) are never present)."""
         values = [int(v) for v in node_ids]
+        if values and (min(values) < 0 or max(values) >= ID_SPACE):
+            bad = next(v for v in values if not 0 <= v < ID_SPACE)
+            raise KeyError(f"unknown node id {bad:#x}")
         khi, klo = pack_ids(values)
         pos = searchsorted_words(self.hi, self.lo, khi, klo)
         probe = np.where(pos < self.size, pos, 0)
@@ -374,12 +388,17 @@ class CompactOverlay:
         """Admit new nodes, merging them into the sorted arrays.
 
         Joining an id that is present and alive raises (mirroring the
-        object engine); joining a failed id revives it.  Because the
+        object engine), as do ids repeated within the batch and ids
+        outside [0, 2^128); joining a failed id revives it.  Because the
         compact state is canonical-by-construction, a join here equals
         the object engine's incremental join *plus* the maintenance
         convergence that follows it.
         """
-        values = sorted({int(v) for v in new_ids})
+        raw = [int(v) for v in new_ids]
+        values = sorted(set(raw))
+        if len(values) != len(raw):
+            raise ValueError("join batch repeats a node id")
+        _check_sorted_ids(values)
         if not values:
             return
         nhi, nlo = pack_ids(values)

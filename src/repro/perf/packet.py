@@ -34,16 +34,17 @@ exactly where the scalar loop would, including the MAX_HOPS limit.
 batch then streams through fixed-size windows, so peak memory is
 bounded by the chunk, not the batch — the per-iteration trail copies
 of a 10^6-packet front would otherwise dominate RSS.  Each packet's
-route is an independent pure function of overlay state, and the
-latency model draws its uniforms sequentially per packet, so results
+route is an independent pure function of overlay state, so results
 (and experiment row digests) are bitwise identical for **any** chunk
 size, including none.  The per-chunk work arrays come from the
 overlay's reusable scratch pool (``CompactOverlay._scratch_buf``),
 accounted by ``scratch_nbytes``.
 
 Everything here is a pure function of overlay state and inputs — no
-ambient randomness; the latency model draws from a caller-supplied
-Generator so experiment rows stay digest-identical across workers.
+ambient randomness, so experiment rows stay digest-identical across
+workers.  Link latencies are not modelled here: experiments price the
+returned node paths with :mod:`repro.simnet` (see
+:mod:`repro.experiments.fig6_latency`).
 """
 
 from __future__ import annotations
@@ -176,6 +177,16 @@ class TunnelBatchResult:
         return len(self.hops)
 
 
+def _check_sources(overlay: "CompactOverlay", src_pos: np.ndarray) -> None:
+    """Reject source positions outside [0, overlay.size) — NumPy would
+    wrap a negative one onto the top of the ring."""
+    if len(src_pos) and (src_pos.min() < 0 or src_pos.max() >= overlay.size):
+        raise ValueError(
+            f"src_pos outside [0, {overlay.size}): "
+            f"min {src_pos.min()}, max {src_pos.max()}"
+        )
+
+
 def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
                chunk_size: int | None = None,
                run_scan_cap: int | None = None,
@@ -186,7 +197,8 @@ def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
     source is alive; dead sources come back with ``success=False``,
     zero hops and ``dest_pos == src_pos`` (scalar ``route`` raises —
     a batch keeps row alignment instead, so sweeps over churned
-    overlays need no pre-filtering).
+    overlays need no pre-filtering).  Positions outside
+    ``[0, overlay.size)`` raise ValueError.
 
     ``chunk_size`` bounds peak memory: the batch streams through
     windows of at most that many in-flight packets, reusing the
@@ -206,6 +218,7 @@ def route_many(overlay: "CompactOverlay", src_pos, key_hi, key_lo, *,
     num = len(src_pos)
     if not (len(key_hi) == len(key_lo) == num):
         raise ValueError("src_pos and key words must have equal length")
+    _check_sources(overlay, src_pos)
     if run_scan_cap is None:
         run_scan_cap = RUN_SCAN_CAP
     if chunk_size is None or chunk_size >= num or num == 0:
@@ -436,6 +449,7 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
     results are chunk-size invariant too.
     """
     src_pos = np.asarray(src_pos, dtype=np.intp)
+    _check_sources(overlay, src_pos)
     hop_key_hi = np.asarray(hop_key_hi, dtype=np.uint64)
     hop_key_lo = np.asarray(hop_key_lo, dtype=np.uint64)
     num, tunnel_len = hop_key_hi.shape
@@ -461,43 +475,3 @@ def route_tunnels(overlay: "CompactOverlay", src_pos, hop_key_hi, hop_key_lo,
     return TunnelBatchResult(
         leg_hops, leg_hops.sum(axis=1), success, current, legs
     )
-
-
-def latency_sums(rng: np.random.Generator, hops, min_latency_s: float,
-                 max_latency_s: float, *,
-                 chunk_size: int | None = None) -> np.ndarray:
-    """Per-packet end-to-end latency: sum of per-hop U[min, max] draws.
-
-    One flat draw of ``hops.sum()`` link latencies on the caller's
-    seed stream, folded per packet with ``np.add.reduceat`` — the
-    batched twin of the fig6 per-leg loop.  Zero-hop packets cost 0 s.
-
-    ``chunk_size`` bounds the draw buffer to one packet window at a
-    time.  A Generator's uniform stream is sequential, so chunked
-    draws concatenate bitwise-identically to one flat draw — chunked
-    output equals unchunked output exactly, not just statistically.
-    """
-    hops = np.asarray(hops, dtype=np.int64)
-    if (hops < 0).any():
-        raise ValueError("negative hop counts")
-    num = len(hops)
-    out = np.zeros(num, dtype=np.float64)
-    if chunk_size is None or chunk_size >= num or num == 0:
-        bounds = [(0, num)]
-    elif chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    else:
-        bounds = [
-            (start, min(start + chunk_size, num))
-            for start in range(0, num, chunk_size)
-        ]
-    for start, end in bounds:
-        h = hops[start:end]
-        total = int(h.sum())
-        if total == 0:
-            continue
-        draws = rng.uniform(min_latency_s, max_latency_s, size=total)
-        ends = np.cumsum(h)
-        nz = h > 0
-        out[start:end][nz] = np.add.reduceat(draws, (ends - h)[nz])
-    return out

@@ -465,6 +465,40 @@ class TestMemoryAccounting:
         assert overlay.scratch_nbytes == settled
 
 
+
+class TestIdBoundaries:
+    """Ids outside [0, 2^128) and repeated joiners are rejected, never
+    wrapped onto in-range ids by the word packing."""
+
+    @pytest.mark.parametrize("bad", (-1, ID_SPACE, ID_SPACE + 5))
+    def test_from_ids_rejects_out_of_range(self, bad):
+        with pytest.raises(ValueError):
+            CompactOverlay.from_ids([5, 9, bad])
+
+    @pytest.mark.parametrize("bad", (-1, ID_SPACE, ID_SPACE + 5))
+    def test_join_rejects_out_of_range(self, bad):
+        overlay = CompactOverlay.from_ids([5, 9, 13])
+        with pytest.raises(ValueError):
+            overlay.join([bad])
+        assert overlay.ids_list() == [5, 9, 13]
+
+    def test_join_rejects_duplicates_within_batch(self):
+        overlay = CompactOverlay.from_ids([5, 9, 13])
+        with pytest.raises(ValueError):
+            overlay.join([7, 7])
+        assert overlay.ids_list() == [5, 9, 13]
+        assert overlay.membership_epoch == 0
+
+    def test_out_of_range_id_is_not_a_member(self):
+        overlay = CompactOverlay.from_ids([0, 5, 9])
+        assert 0 in overlay
+        assert ID_SPACE not in overlay
+        assert ID_SPACE + 5 not in overlay
+        assert -ID_SPACE not in overlay
+        assert not overlay.is_alive(ID_SPACE)
+        with pytest.raises(KeyError):
+            overlay.positions_of([ID_SPACE + 9])
+
 def _churned_digest(token):
     from repro.perf import shared_payload
 

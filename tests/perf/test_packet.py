@@ -7,7 +7,8 @@ through the PR 6 contract, the same decisions as the object engine via
 the materialisation bridge.  Pinned here across churned overlays,
 clustered id populations that force the run-scan fallback, packets
 whose source fails mid-batch, tiny rings, and the RUN_SCAN_CAP scalar
-rescue; plus the batched tunnel stitching and latency-fold kernels.
+rescue; plus the batched tunnel stitching and the source-position
+bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import repro.perf.packet as packet
 from repro.analysis.idspace import pack_ids
 from repro.perf.compact import CompactOverlay
-from repro.perf.packet import latency_sums, route_many, route_tunnels
+from repro.perf.packet import route_many, route_tunnels
 from repro.util.ids import ID_SPACE
 from repro.util.rng import SeedSequenceFactory
 
@@ -276,22 +277,14 @@ class TestChunkedRouting:
         assert (chunked.hops == flat.hops).all()
         assert (chunked.dest_pos == flat.dest_pos).all()
 
-    @pytest.mark.parametrize("chunk_size", (1, 7, 6, None))
-    def test_latency_sums_draw_order_deterministic(self, chunk_size):
-        hops = np.array([0, 1, 5, 3, 0, 7])
-        flat = latency_sums(np.random.default_rng(5), hops, 0.010, 0.230)
-        chunked = latency_sums(np.random.default_rng(5), hops, 0.010, 0.230,
-                               chunk_size=chunk_size)
-        # bitwise, not approx: chunked draws consume the same stream
-        assert (chunked == flat).all()
-
     def test_chunk_size_validation(self):
         overlay, src, key_hi, key_lo = self._batch(count=4)
         with pytest.raises(ValueError):
             route_many(overlay, src, key_hi, key_lo, chunk_size=0)
+        hop_hi = np.zeros((len(src), 2), dtype=np.uint64)
         with pytest.raises(ValueError):
-            latency_sums(np.random.default_rng(1), np.array([1, 2]),
-                         0.0, 1.0, chunk_size=-3)
+            route_tunnels(overlay, src, hop_hi, hop_hi, key_hi, key_lo,
+                          chunk_size=-3)
 
     def test_scratch_reuse_across_chunks(self):
         overlay, src, key_hi, key_lo = self._batch()
@@ -345,34 +338,33 @@ class TestTunnelBatch:
         assert result.success[2:].all()
 
 
-class TestLatencySums:
-    def test_matches_per_hop_loop(self):
-        hops = np.array([0, 1, 5, 3, 0, 7])
-        lat = latency_sums(np.random.default_rng(5), hops, 0.010, 0.230)
-        draws = np.random.default_rng(5).uniform(0.010, 0.230, size=int(hops.sum()))
-        offset = 0
-        for i, h in enumerate(hops):
-            expected = draws[offset:offset + h].sum()
-            offset += h
-            assert lat[i] == pytest.approx(expected)
-        assert lat[0] == 0.0 and lat[4] == 0.0
+class TestSourceBounds:
+    """Source positions outside [0, size) raise instead of wrapping
+    (a NumPy index of -1 would route from the last node)."""
 
-    def test_bounds_scale_with_hops(self):
-        hops = np.full(500, 6)
-        lat = latency_sums(np.random.default_rng(1), hops, 0.010, 0.230)
-        assert (lat >= 6 * 0.010).all() and (lat <= 6 * 0.230).all()
-        assert lat.mean() == pytest.approx(6 * 0.120, rel=0.05)
-
-    def test_all_zero_hops_draw_nothing(self):
-        lat = latency_sums(np.random.default_rng(2), np.zeros(4, dtype=int), 0.0, 1.0)
-        assert (lat == 0.0).all()
-
-    def test_negative_hops_rejected(self):
+    @pytest.mark.parametrize("bad", (-1, 40, 10**6))
+    def test_route_many_rejects_out_of_range_source(self, bad):
+        overlay = CompactOverlay.from_ids(range(1, 41))
+        key = np.array([5], dtype=np.uint64)
         with pytest.raises(ValueError):
-            latency_sums(np.random.default_rng(3), np.array([1, -2]), 0.0, 1.0)
+            route_many(overlay, np.array([3, bad]), np.zeros(2, np.uint64),
+                       np.concatenate([key, key]))
+        with pytest.raises(ValueError):
+            overlay.route_many(np.array([bad]), np.zeros(1, np.uint64), key)
 
-    def test_same_stream_is_deterministic(self):
-        hops = np.array([2, 4, 8])
-        a = latency_sums(np.random.default_rng(9), hops, 0.010, 0.230)
-        b = latency_sums(np.random.default_rng(9), hops, 0.010, 0.230)
-        assert (a == b).all()
+    @pytest.mark.parametrize("bad", (-1, 40))
+    def test_route_tunnels_rejects_out_of_range_source(self, bad):
+        overlay = CompactOverlay.from_ids(range(1, 41))
+        hops = np.zeros((1, 2), dtype=np.uint64)
+        key = np.array([5], dtype=np.uint64)
+        with pytest.raises(ValueError):
+            route_tunnels(overlay, np.array([bad]), hops, hops, key, key)
+        with pytest.raises(ValueError):
+            overlay.route_tunnels(np.array([bad]), hops, hops, key, key)
+
+    def test_last_position_still_routes(self):
+        overlay = CompactOverlay.from_ids(range(1, 41))
+        result = overlay.route_many(np.array([39]), np.zeros(1, np.uint64),
+                                    np.array([5], dtype=np.uint64))
+        assert result.success.all()
+        assert result.path(0)[0] == 40

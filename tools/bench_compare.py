@@ -721,9 +721,11 @@ def wallclock_suite() -> dict[str, dict]:
 # baseline file plumbing
 # ----------------------------------------------------------------------
 def git_sha() -> str:
+    """The tree actually measured: ``git describe --always --dirty``,
+    so numbers taken on uncommitted edits are not filed under HEAD."""
     try:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=REPO_ROOT,
+            ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
             capture_output=True, text=True, check=True,
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):

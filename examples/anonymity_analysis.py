@@ -80,7 +80,7 @@ def main() -> None:
 
     print("\nConclusion (paper §7.2): corruption stays rare at p=10%,")
     print("and users should refresh tunnels periodically under churn —")
-    print("see benchmarks/test_bench_fig5.py.")
+    print("see `tap-repro run fig5`.")
 
 
 if __name__ == "__main__":

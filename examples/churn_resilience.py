@@ -82,7 +82,7 @@ def main() -> None:
         )
 
     print("\nTAP tunnels survive because each hop is a replicated DHT key,")
-    print("not a fixed node; see benchmarks/test_bench_fig2.py for the")
+    print("not a fixed node; see `tap-repro run fig2` for the")
     print("full 10^4-node Monte-Carlo version of this comparison.")
 
 

@@ -29,8 +29,8 @@ from typing import Callable
 
 from repro.core.node import TapNode
 from repro.core.tha import tha_value_decode
-from repro.core.tunnel import ReplyTunnel, Tunnel
-from repro.crypto.onion import build_onion, build_reply_onion, peel_layer
+from repro.core.tunnel import Tunnel
+from repro.crypto.onion import build_onion, peel_layer
 from repro.crypto.symmetric import CipherError
 from repro.past.replication import ReplicatedStore
 from repro.past.storage import StorageError
@@ -592,11 +592,3 @@ class TunnelForwarder:
         return trace
 
 
-def build_request_onion(tunnel: Tunnel, destination_id: int, payload: bytes) -> bytes:
-    """Convenience mirror of the §2 construction (used by tests)."""
-    return build_onion(tunnel.onion_layers(), destination_id, payload)
-
-
-def build_reply_blob(reply_tunnel: ReplyTunnel, fake_onion: bytes) -> tuple[int, bytes]:
-    """Convenience mirror of the §4 reply construction (used by tests)."""
-    return build_reply_onion(reply_tunnel.onion_layers(), reply_tunnel.bid, fake_onion)

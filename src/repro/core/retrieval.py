@@ -237,38 +237,44 @@ class AnonymousRetrieval:
         )
         initiator.register_pending(pending)
 
-        request = self._encode_request(fid, temp_keys.public, first_reply_hop, reply_blob)
-
-        reply_traces: list[ForwardTrace] = []
-
-        def deliver(responder_id: int, payload: bytes) -> None:
-            reply = self._responder_serve(responder_id, payload)
-            if reply is not None:
-                reply_traces.append(reply)
-
-        forward = self.forwarder.send(
-            initiator, forward_tunnel, destination_id=fid, payload=request, deliver=deliver
-        )
-        reply = reply_traces[0] if reply_traces else None
-
-        if not forward.success:
-            return RetrievalResult(False, None, forward, reply, fid,
-                                   failure_reason=f"forward: {forward.failure_reason}")
-        if reply is None:
-            return RetrievalResult(False, None, forward, None, fid,
-                                   failure_reason="responder could not serve the request")
-        if not reply.success or not received:
-            reason = reply.failure_reason or "reply never reached initiator"
-            return RetrievalResult(False, None, forward, reply, fid,
-                                   failure_reason=f"reply: {reason}")
-
         try:
-            sealed_file, wrapped_key = unpack_fields(received[0], count=2)
-            k_f = SymmetricKey(temp_keys.decrypt(wrapped_key))
-            content = k_f.open(sealed_file)
-        except (SerializationError, RsaError, CipherError) as exc:
-            return RetrievalResult(False, None, forward, reply, fid,
-                                   failure_reason=f"decryption: {exc}")
+            request = self._encode_request(
+                fid, temp_keys.public, first_reply_hop, reply_blob
+            )
+
+            reply_traces: list[ForwardTrace] = []
+
+            def deliver(responder_id: int, payload: bytes) -> None:
+                reply = self._responder_serve(responder_id, payload)
+                if reply is not None:
+                    reply_traces.append(reply)
+
+            forward = self.forwarder.send(
+                initiator, forward_tunnel, destination_id=fid, payload=request,
+                deliver=deliver,
+            )
+            reply = reply_traces[0] if reply_traces else None
+
+            if not forward.success:
+                return RetrievalResult(
+                    False, None, forward, reply, fid,
+                    failure_reason=f"forward: {forward.failure_reason}")
+            if reply is None:
+                return RetrievalResult(False, None, forward, None, fid,
+                                       failure_reason="responder could not serve the request")
+            if not reply.success or not received:
+                reason = reply.failure_reason or "reply never reached initiator"
+                return RetrievalResult(False, None, forward, reply, fid,
+                                       failure_reason=f"reply: {reason}")
+
+            try:
+                sealed_file, wrapped_key = unpack_fields(received[0], count=2)
+                k_f = SymmetricKey(temp_keys.decrypt(wrapped_key))
+                content = k_f.open(sealed_file)
+            except (SerializationError, RsaError, CipherError) as exc:
+                return RetrievalResult(False, None, forward, reply, fid,
+                                       failure_reason=f"decryption: {exc}")
+            return RetrievalResult(True, content, forward, reply, fid)
         finally:
+            # every exit path drops the registration and its temp key pair
             initiator.pending_replies.pop(reply_tunnel.bid, None)
-        return RetrievalResult(True, content, forward, reply, fid)

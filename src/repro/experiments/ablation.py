@@ -229,7 +229,7 @@ def run_hint_staleness(
         _hint_staleness_trial,
         [
             (config, churn, metrics is not None, audit,
-             tracer is not None, event_trace is not None)
+             bool(tracer), event_trace is not None)
             for churn in config.churn_steps
         ],
         effective_workers(workers, config),

@@ -54,7 +54,7 @@ from repro.perf import (
 from repro.perf.compact import CompactOverlay
 from repro.perf.parallel import shared_payload
 from repro.simnet.topology import Topology
-from repro.simnet.transport import TransferModel, path_transfer_time
+from repro.simnet.transport import serialization_delay, store_and_forward_time
 from repro.util.ids import random_id
 from repro.util.rng import SeedSequenceFactory
 
@@ -266,11 +266,39 @@ def _audit(network: PastryNetwork, metrics, n_nodes: int, rep: int) -> None:
 def _observe_routes(metrics, hops: list[int]) -> None:
     """The ``pastry.route.*`` instruments the object engine's ``route``
     feeds, for routes taken on the packet plane."""
-    count = metrics.counter("pastry.route.count")
-    histogram = metrics.histogram("pastry.route.hops")
-    for h in hops:
-        count.inc()
-        histogram.observe(h)
+    metrics.counter("pastry.route.count").inc(len(hops))
+    metrics.histogram("pastry.route.hops").observe_many(hops)
+
+
+def _trace_transfer(tracer, scheme: str, n_nodes: int, path: list[int],
+                    legs: list[tuple[str, list[int]]], latencies: list[float],
+                    serial: float, t: float) -> None:
+    """One transfer's ``tap.request`` trace on the simulated clock,
+    queued by :func:`_fig6_leg` through :meth:`SpanTracer.defer`.
+
+    The legs partition the path's links, so their durations sum
+    exactly to the root's end-to-end time.
+    """
+    root = tracer.start_trace(
+        "tap.request", observer="initiator",
+        scheme=scheme, num_nodes=n_nodes, initiator=path[0],
+    )
+    cursor = 0.0
+    first = 0
+    for name, leg_path in legs:
+        links = len(leg_path) - 1
+        dt = store_and_forward_time(latencies[first:first + links], serial)
+        first += links
+        tracer.add_span(
+            name, parent=root,
+            sim_start=cursor, sim_end=cursor + dt,
+            observer="hop",
+            src=leg_path[0], dst=leg_path[-1],
+            links=links,
+        )
+        cursor += dt
+    root.set_sim(0.0, cursor)
+    tracer.finish(root, links=len(latencies), transfer_time_s=t)
 
 
 def _fig6_leg(
@@ -325,56 +353,37 @@ def _fig6_leg(
         if metrics is not None:
             _observe_routes(metrics, route_hops)
 
+    serial = serialization_delay(config.file_bits, topology.bandwidth_bps)
+    # per-scheme transfer times and hop counts, and every priced link,
+    # folded into the metrics once per cell
+    times: dict[str, list[float]] = {}
+    hop_counts: dict[str, list[int]] = {}
+    link_latencies: list[float] = []
+
     def record(
         scheme: str,
         path: list[int],
         legs: list[tuple[str, list[int]]] | None = None,
     ) -> None:
-        t = path_transfer_time(
-            topology, path, config.file_bits,
-            TransferModel.STORE_AND_FORWARD,
-        )
+        # every link is priced once: the span legs and the link
+        # histogram reuse the latencies the transfer time sums
+        latencies = topology.link_latencies(path)
+        t = store_and_forward_time(latencies, serial)
         acc.append(((n_nodes, scheme), t))
         if tracer:
-            root = tracer.start_trace(
-                "tap.request", observer="initiator",
-                scheme=scheme, num_nodes=n_nodes,
-                initiator=path[0] if path else None,
-            )
-            cursor = 0.0
-            for name, leg_path in (legs or [("dht.route", path)]):
-                dt = path_transfer_time(
-                    topology, leg_path, config.file_bits,
-                    TransferModel.STORE_AND_FORWARD,
-                )
-                tracer.add_span(
-                    name, parent=root,
-                    sim_start=cursor, sim_end=cursor + dt,
-                    observer="hop",
-                    src=leg_path[0], dst=leg_path[-1],
-                    links=max(0, len(leg_path) - 1),
-                )
-                cursor += dt
-            # children partition the path's links, so their
-            # durations sum exactly to the end-to-end time
-            root.set_sim(0.0, cursor)
-            tracer.finish(
-                root,
-                links=max(0, len(path) - 1),
-                transfer_time_s=t,
+            tracer.defer(
+                _trace_transfer, scheme, n_nodes, path,
+                legs or [("dht.route", path)], latencies, serial, t,
             )
         if event_trace is not None:
             event_trace.record(
                 "fig6.transfer", scheme=scheme, num_nodes=n_nodes,
-                transfer_time_s=t, links=max(0, len(path) - 1),
+                transfer_time_s=t, links=len(latencies),
             )
         if metrics is not None:
-            metrics.histogram(f"fig6.transfer_time_s.{scheme}").observe(t)
-            hops = metrics.histogram(f"fig6.underlying_hops.{scheme}")
-            hops.observe(max(0, len(path) - 1))
-            link = metrics.histogram("fig6.link_latency_s")
-            for a, b in zip(path, path[1:]):
-                link.observe(topology.latency(a, b))
+            times.setdefault(scheme, []).append(t)
+            hop_counts.setdefault(scheme, []).append(len(latencies))
+            link_latencies.extend(latencies)
 
     for overt_path, tunnels in transfers:
         record("overt", overt_path)
@@ -384,6 +393,13 @@ def _fig6_leg(
             record(f"tap-basic-l{length}", basic, basic_legs)
             record(f"tap-opt-l{length}", optimised, opt_legs)
 
+    if metrics is not None:
+        for scheme, values in times.items():
+            metrics.histogram(f"fig6.transfer_time_s.{scheme}").observe_many(values)
+            metrics.histogram(f"fig6.underlying_hops.{scheme}").observe_many(
+                hop_counts[scheme]
+            )
+        metrics.histogram("fig6.link_latency_s").observe_many(link_latencies)
     return acc
 
 
@@ -447,7 +463,7 @@ def run_fig6(
         _fig6_trial,
         [
             (config, rep, n_nodes, metrics is not None, audit,
-             tracer is not None, event_trace is not None)
+             bool(tracer), event_trace is not None)
             for rep in range(config.num_seeds)
             for n_nodes in config.network_sizes
         ],

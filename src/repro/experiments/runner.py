@@ -8,7 +8,7 @@ plus CSV for external plotting.
 from __future__ import annotations
 
 import io
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def series(rows: list[dict], x: str, y: str, scheme_key: str = "scheme") -> dict[str, list[tuple]]:
@@ -77,12 +77,6 @@ def pivot(rows: list[dict], index: str, column: str, value: str) -> list[dict]:
         entry = table.setdefault(row[index], {index: row[index]})
         entry[str(row[column])] = row[value]
     return [table[k] for k in sorted(table)]
-
-
-def summarize(rows: Iterable[dict], label: str = "") -> str:
-    """One-line digest used in benchmark logs."""
-    rows = list(rows)
-    return f"{label}: {len(rows)} rows" if label else f"{len(rows)} rows"
 
 
 def metrics_rows(registry) -> list[dict]:

@@ -209,7 +209,7 @@ def run_session_survival(
         _survival_trial,
         [
             (config, churn, metrics is not None, audit,
-             tracer is not None, event_trace is not None)
+             bool(tracer), event_trace is not None)
             for churn in config.failures_per_request
         ],
         effective_workers(workers, config),

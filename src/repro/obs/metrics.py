@@ -107,14 +107,15 @@ class Histogram:
         """Bulk observe, C-speed bookkeeping for the sampled-telemetry
         hot path.
 
-        Retained samples end up identical to per-value :meth:`observe`
-        calls; the batched ``sum`` may differ from a chain of ``+=`` in
-        the last ulp, which is fine because every execution path of a
-        given run batches identically.  Falls back to the per-value
-        loop once decimation is active (stride bookkeeping is per
-        sample there).
+        Retained samples, min and max end up identical (values and
+        types) to per-value :meth:`observe` calls; the batched ``sum``
+        may differ from a chain of ``+=`` in the last ulp unless the
+        histogram was empty, which is fine because every execution path
+        of a given run batches identically.  Falls back to the
+        per-value loop once decimation is active (stride bookkeeping is
+        per sample there).
         """
-        values = [float(v) for v in values]
+        values = list(values)
         if not values:
             return
         if (

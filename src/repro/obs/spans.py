@@ -228,15 +228,18 @@ class SpanTracer:
             raise ValueError("span capacity must be >= 1")
         self.capacity = capacity
         self._clock = clock
-        self.finished: deque[Span] = deque(maxlen=capacity)
-        #: total spans ever finished (>= len once the ring wrapped)
-        self.completed = 0
+        self._ring: deque[Span] = deque(maxlen=capacity)
+        self._completed = 0
+        #: queued :meth:`defer` records, logically after every ring span
+        self._deferred: list[tuple] = []
         self._stack: list[Span] = []
         self._next_span = 0
         self._next_trace = 0
 
     # -- id plumbing ----------------------------------------------------
-    def _new_ids(self, parent: SpanContext | None) -> tuple[int, int, int | None]:
+    def _new_ids(self, parent) -> tuple[int, int, int | None]:
+        if self._deferred:
+            self._drain()
         span_id = self._next_span
         self._next_span += 1
         if parent is None:
@@ -246,11 +249,11 @@ class SpanTracer:
         return parent.trace_id, span_id, parent.span_id
 
     @staticmethod
-    def _resolve(parent) -> SpanContext | None:
-        if parent is None:
-            return None
-        if isinstance(parent, Span):
-            return parent.context()
+    def _resolve(parent) -> Span | SpanContext | None:
+        # a Span carries the two fields _new_ids reads, so it passes
+        # through without building a SpanContext
+        if parent is None or isinstance(parent, Span):
+            return parent
         if isinstance(parent, _NullSpan):
             return None
         return SpanContext(*parent)
@@ -268,25 +271,27 @@ class SpanTracer:
         """Open a span; ``parent=None`` attaches to the current stack
         span when one is open, else starts a new trace."""
         ctx = self._resolve(parent) if parent is not None else (
-            self.current().context() if self._stack else None
+            self.current() if self._stack else None
         )
         return self._start(name, ctx, attrs)
 
-    def _start(self, name: str, ctx: SpanContext | None, attrs: dict) -> Span:
+    def _start(self, name: str, ctx, attrs: dict) -> Span:
         trace_id, span_id, parent_id = self._new_ids(ctx)
         span = Span(trace_id, span_id, parent_id, name, self._clock())
-        if attrs:
-            span.attrs.update(attrs)
+        # ``attrs`` is always a caller's fresh ``**attrs`` dict
+        span.attrs = attrs
         return span
 
     def finish(self, span: Span, **attrs) -> Span:
         """Close a span (idempotent end-time) and commit it to the ring."""
+        if self._deferred:
+            self._drain()
         if attrs:
             span.attrs.update(attrs)
         if span.end is None:
             span.end = self._clock()
-        self.finished.append(span)
-        self.completed += 1
+        self._ring.append(span)
+        self._completed += 1
         return span
 
     @contextmanager
@@ -317,12 +322,40 @@ class SpanTracer:
         s.end = s.start
         return self.finish(s)
 
+    def defer(self, record, *args) -> None:
+        """Queue ``record(self, *args)``, a module-level function that
+        records spans through the ordinary calls with explicit parents,
+        to run on the next read or before any other span is opened or
+        committed — so ids and ring order are the eager ones.  Hot
+        simulated-time paths keep plain (picklable) data and build no
+        ``Span`` until something reads the tracer."""
+        self._deferred.append((record, args))
+
+    def _drain(self) -> None:
+        deferred, self._deferred = self._deferred, []
+        for record, args in deferred:
+            record(self, *args)
+
     # -- access ---------------------------------------------------------
     def __bool__(self) -> bool:
         # Always truthy — without this, ``__len__`` would make an
         # *empty* tracer falsy and every ``if tracer:`` guard would
         # silently skip the first spans.  (NullTracer is the falsy one.)
         return True
+
+    @property
+    def finished(self) -> deque[Span]:
+        """The finished-span ring, oldest first."""
+        if self._deferred:
+            self._drain()
+        return self._ring
+
+    @property
+    def completed(self) -> int:
+        """Total spans ever finished (>= len once the ring wrapped)."""
+        if self._deferred:
+            self._drain()
+        return self._completed
 
     def __len__(self) -> int:
         return len(self.finished)
@@ -333,7 +366,7 @@ class SpanTracer:
     @property
     def dropped(self) -> int:
         """Finished spans evicted by the ring bound."""
-        return self.completed - len(self.finished)
+        return self.completed - len(self._ring)
 
     def traces(self) -> dict[int, list[Span]]:
         """Finished spans grouped by trace id (insertion order kept)."""
@@ -344,18 +377,28 @@ class SpanTracer:
 
     def clear(self) -> None:
         self.finished.clear()
-        self.completed = 0
+        self._completed = 0
         # id counters stay monotone so old exports never collide
 
-    def absorb(self, spans: Iterable[Span]) -> int:
+    def handoff(self) -> tuple[list[Span], list[tuple]]:
+        """Finished spans and still-queued :meth:`defer` records, for
+        another tracer's :meth:`absorb`, without running the queue."""
+        return list(self._ring), list(self._deferred)
+
+    def absorb(self, spans: Iterable[Span], deferred: Iterable[tuple] = ()) -> int:
         """Adopt finished spans from another tracer (a parallel worker).
 
         Worker tracers allocate trace/span ids from their own counters,
         so the incoming ids are remapped by this tracer's current
         counters — parent links survive, and absorbing workers in trial
-        order yields the same id assignment on every run.  Returns the
-        number of spans absorbed.
+        order yields the same id assignment on every run.  ``deferred``
+        records (from :meth:`handoff`) join this tracer's queue after
+        the spans, and so draw the ids the worker would have given
+        them.  Returns the number of spans absorbed.
         """
+        spans = list(spans)
+        if spans and self._deferred:
+            self._drain()
         span_base = self._next_span
         trace_base = self._next_trace
         max_span = -1
@@ -373,8 +416,8 @@ class SpanTracer:
             remapped.sim_start = s.sim_start
             remapped.sim_end = s.sim_end
             remapped.attrs = dict(s.attrs)
-            self.finished.append(remapped)
-            self.completed += 1
+            self._ring.append(remapped)
+            self._completed += 1
             absorbed += 1
             if s.span_id > max_span:
                 max_span = s.span_id
@@ -382,6 +425,7 @@ class SpanTracer:
                 max_trace = s.trace_id
         self._next_span = span_base + max_span + 1
         self._next_trace = trace_base + max_trace + 1
+        self._deferred.extend(deferred)
         return absorbed
 
     # -- export ---------------------------------------------------------

@@ -28,7 +28,7 @@ starve the same suffix of the key space.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.past.erasure import ErasureStore
 from repro.util.rng import derive_seed, make_pyrandom
@@ -51,9 +51,6 @@ class CrawlReport:
     budget_exhausted: bool = False
     #: keys left un-scanned when the budget ran out
     keys_deferred: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
 
 
 class RepairCrawler:

@@ -12,7 +12,8 @@ payloads in trial order (:func:`merge_obs`):
   histograms accumulate, gauges last-write-win);
 * spans are adopted via :meth:`SpanTracer.absorb`, which remaps the
   workers' locally-allocated trace/span ids onto the parent's counters
-  while preserving parent links;
+  while preserving parent links (queued :meth:`SpanTracer.defer`
+  records travel unbuilt and are built in the parent on first read);
 * events re-sequence under the parent trace's monotone counter via
   :meth:`EventTrace.absorb`.
 
@@ -37,6 +38,7 @@ class TrialObs:
 
     metrics: object | None = None
     spans: list | None = None
+    deferred: list | None = None
     events: list | None = None
     volatile: dict | None = None
 
@@ -69,9 +71,11 @@ def capture_obs(metrics, tracer, event_trace, volatile=None) -> TrialObs | None:
     if (metrics is None and tracer is None and event_trace is None
             and not volatile):
         return None
+    spans, deferred = tracer.handoff() if tracer is not None else (None, None)
     return TrialObs(
         metrics=metrics,
-        spans=list(tracer.finished) if tracer is not None else None,
+        spans=spans,
+        deferred=deferred,
         events=list(event_trace) if event_trace is not None else None,
         volatile=volatile or None,
     )
@@ -88,8 +92,8 @@ def merge_obs(payloads, metrics=None, tracer=None, event_trace=None) -> None:
             continue
         if metrics is not None and payload.metrics is not None:
             metrics.merge_from(payload.metrics)
-        if tracer is not None and payload.spans:
-            tracer.absorb(payload.spans)
+        if tracer is not None and (payload.spans or payload.deferred):
+            tracer.absorb(payload.spans or (), payload.deferred or ())
         if event_trace is not None and payload.events:
             event_trace.absorb(payload.events)
 

@@ -96,6 +96,10 @@ class Topology:
     def link(self, a: int, b: int) -> LinkSpec:
         return LinkSpec(self.latency(a, b), self.bandwidth_bps)
 
+    def link_latencies(self, path: list[int]) -> list[float]:
+        """Propagation delay of each link between consecutive path elements."""
+        return [self.latency(u, v) for u, v in zip(path, path[1:])]
+
     def path_latency(self, path: list[int]) -> float:
         """Sum of propagation delays along consecutive path elements."""
-        return sum(self.latency(u, v) for u, v in zip(path, path[1:]))
+        return sum(self.link_latencies(path))

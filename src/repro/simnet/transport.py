@@ -46,6 +46,13 @@ def transfer_time(
     return latency_s + serialization_delay(size_bits, bandwidth_bps)
 
 
+def store_and_forward_time(link_latencies: list[float], serial_s: float) -> float:
+    """``STORE_AND_FORWARD`` time over links with the given propagation
+    delays: each link costs its latency plus one full serialisation
+    delay ``serial_s`` (see :func:`serialization_delay`)."""
+    return sum(link_latencies) + len(link_latencies) * serial_s
+
+
 def path_transfer_time(
     topology: Topology,
     path: list[int],
@@ -63,10 +70,13 @@ def path_transfer_time(
     hops = len(path) - 1
     if hops == 0:
         return 0.0
+    if model is TransferModel.STORE_AND_FORWARD:
+        return store_and_forward_time(
+            topology.link_latencies(path),
+            serialization_delay(size_bits, topology.bandwidth_bps),
+        )
     propagation = topology.path_latency(path)
     serial = serialization_delay(size_bits, topology.bandwidth_bps)
-    if model is TransferModel.STORE_AND_FORWARD:
-        return propagation + hops * serial
     if model is TransferModel.PIPELINED:
         if chunk_bits <= 0:
             raise ValueError("chunk size must be positive")

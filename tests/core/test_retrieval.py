@@ -103,6 +103,33 @@ class TestFailureModes:
         assert not result.success
         assert result.failure_reason.startswith("reply")
 
+    def test_failed_retrievals_release_pending_replies(self, system, alice, published):
+        """Every early exit (unserved request, forward failure, reply
+        failure) drops the reply registration and its temp key pair."""
+        fid, _ = published
+        system.deploy_thas(alice, count=12)
+        results = [
+            system.retrieve(alice, 777777,
+                            system.form_tunnel(alice, length=2),
+                            system.form_reply_tunnel(alice, length=2))
+            for _ in range(2)
+        ]
+        fwd = system.form_tunnel(alice, length=3)
+        system.fail_nodes(list(system.store.holders(fwd.hops[0].hop_id)),
+                          repair_after=False)
+        results.append(system.retrieve(
+            alice, fid, fwd, system.form_reply_tunnel(alice, length=3)))
+        rpl = system.form_reply_tunnel(alice, length=3)
+        system.fail_nodes(list(system.store.holders(rpl.hops[1].hop_id)),
+                          repair_after=False)
+        results.append(system.retrieve(
+            alice, fid, system.form_tunnel(alice, length=3), rpl))
+
+        assert not any(r.success for r in results)
+        assert [r.failure_reason.split(":")[0].split()[0] for r in results] == [
+            "responder", "responder", "forward", "reply"]
+        assert alice.pending_replies == {}
+
     def test_retrieval_survives_hop_node_failures(self, system, alice, published):
         """The paper's motivating scenario: individual tunnel hop
         nodes fail (with repair) and the retrieval still completes."""

@@ -63,9 +63,14 @@ class TestHintStaleness:
         assert base["churn_events"] == 0
         assert base["hint_failure_rate"] == 0.0
         assert base["via_hint_rate"] == 1.0
+        # one physical link per tunnel hop
+        assert base["mean_underlying_per_hop"] == 1.0
 
     def test_fallback_preserves_success(self):
+        """Staleness grows with churn, but the DHT fallback keeps every
+        tunnel working."""
         rows = run_hint_staleness(HintStalenessConfig.fast())
+        assert rows[-1]["hint_failure_rate"] >= rows[0]["hint_failure_rate"]
         assert all(r["tunnel_success_rate"] == 1.0 for r in rows)
 
 
@@ -88,6 +93,7 @@ class TestTimingAttack:
         base = next(r for r in rows if r["condition"] == "no-defence")
         padded = next(r for r in rows if r["condition"] == "padded-cells")
         assert padded["precision"] <= base["precision"] / 2
+        assert padded["recall"] <= base["recall"] / 2
 
     def test_defences_cost_bandwidth(self, rows):
         base = next(r for r in rows if r["condition"] == "no-defence")
@@ -102,6 +108,8 @@ class TestSecureRouting:
         for row in rows:
             assert row["naive_deceived"] > 0.02
             assert row["secure_deceived"] <= row["naive_deceived"] / 3
+            # deception becomes detected failure
+            assert row["secure_alarms"] > 0
             assert row["false_alarms"] <= 0.05
 
 
@@ -117,6 +125,7 @@ class TestSessionSurvival:
         heavy = rows[-1]
         assert heavy["failures_per_request"] > 0
         assert heavy["fixed_availability"] < 1.0
+        assert heavy["fixed_reforms"] > 0
         assert heavy["tap_availability"] >= 0.99
 
 
@@ -137,10 +146,13 @@ class TestReplyDurability:
         assert base["fixed_reply_success"] == 1.0
 
     def test_tap_survives_fixed_rots(self, rows):
+        for row in rows:
+            assert row["tap_reply_success"] >= row["fixed_reply_success"]
         heavy = rows[-1]
-        assert heavy["churn_fraction"] > 0
+        assert heavy["churn_fraction"] >= 0.3
         assert heavy["tap_reply_success"] >= 0.9
-        assert heavy["fixed_reply_success"] < 1.0
+        # recorded fixed paths rot at the (1-p)^l rate
+        assert heavy["fixed_reply_success"] < 0.8
         assert heavy["tap_reply_success"] > heavy["fixed_reply_success"]
 
     def test_fixed_tracks_theory(self, rows):
@@ -161,13 +173,18 @@ class TestComparison:
         }
 
     def test_tap_survival_dominates(self, rows):
+        """An order of magnitude better tunnel survival."""
         by = {r["system"]: r for r in rows}
-        assert by["tap-opt"]["path_failure_prob"] < by["crowds"]["path_failure_prob"]
-        assert by["tap-opt"]["path_failure_prob"] < by["onion-routing"]["path_failure_prob"]
+        tap = by["tap-opt"]["path_failure_prob"]
+        assert tap < by["crowds"]["path_failure_prob"] / 5
+        assert tap < by["onion-routing"]["path_failure_prob"] / 5
 
     def test_anonymity_in_same_band(self, rows):
         degrees = [r["degree_of_anonymity"] for r in rows]
         assert max(degrees) - min(degrees) < 0.3
+        by = {r["system"]: r["degree_of_anonymity"] for r in rows}
+        assert by["tap-opt"] > 0.8
+        assert abs(by["tap-opt"] - by["crowds"]) < 0.2
 
     def test_optimisation_cuts_hops(self, rows):
         by = {r["system"]: r for r in rows}

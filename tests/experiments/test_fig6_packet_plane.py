@@ -5,13 +5,17 @@ The runner routes the default (``pns=False``) overlay with batched
 Pinned here: the rows digests recorded while fig6 still routed on
 ``PastryNetwork`` (the move must not change one byte), the object
 engine as a path-for-path oracle, the ``--audit`` bridge, the
-``million()`` preset and the ``fig6.*`` run-ledger indicators.
+``million()`` preset and the ``fig6.*`` run-ledger indicators.  The
+``pns=True`` ablation and the event-driven emulation (latency oracle)
+ride along.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.core.emulation import CONTROL_BITS, TapEmulation
+from repro.core.system import TapSystem
 from repro.experiments import Fig6Config, run_fig6
 from repro.experiments.fig6_latency import (
     _compact_paths,
@@ -23,6 +27,8 @@ from repro.experiments.fig6_latency import (
 from repro.obs import EventTrace, MetricsRegistry, SpanTracer
 from repro.pastry import PastryNetwork
 from repro.perf import rows_digest
+from repro.simnet.topology import Topology
+from repro.simnet.transport import TransferModel, path_transfer_time
 from repro.util.rng import SeedSequenceFactory
 
 #: rows digests of the object-engine runner at seed 2004
@@ -70,6 +76,25 @@ class TestObjectEngineOracle:
         assert isinstance(_fig6_base_build(config, 100).restore(), PastryNetwork)
         rows = run_fig6(config)
         assert {r["scheme"] for r in rows} >= {"overt", "tap-basic-l5", "tap-opt-l5"}
+
+    def test_pns_shortens_dht_routes(self):
+        """Proximity neighbour selection (FreePastry's locality) makes
+        everything routed through the DHT (overt, TAP_basic) at least
+        10% faster; TAP_opt bypasses DHT routing via IP hints and moves
+        under 15%.  10 kb messages keep the measurement latency-bound:
+        a 2 Mb transfer hides propagation behind serialisation."""
+        config = Fig6Config(network_sizes=(300, 1_000), transfers_per_size=15,
+                            num_seeds=1, tunnel_lengths=(5,), file_bits=10_000.0)
+        by = {
+            (row["num_nodes"], row["scheme"], pns): row["transfer_time_s"]
+            for pns in (False, True)
+            for row in run_fig6(replace(config, pns=pns))
+        }
+        for n in config.network_sizes:
+            assert by[(n, "overt", True)] < 0.9 * by[(n, "overt", False)]
+            assert by[(n, "tap-basic-l5", True)] < 0.9 * by[(n, "tap-basic-l5", False)]
+            opt_delta = abs(by[(n, "tap-opt-l5", True)] - by[(n, "tap-opt-l5", False)])
+            assert opt_delta < 0.15 * by[(n, "tap-opt-l5", False)]
 
 
 class TestAuditBridge:
@@ -126,9 +151,11 @@ class TestTelemetry:
         assert schemes.count("tap-opt-l5") == per_scheme
 
     def test_rows_identical_with_telemetry_off(self):
-        rows = run_fig6(TINY, metrics=MetricsRegistry(), tracer=SpanTracer(),
+        tracer = SpanTracer()
+        rows = run_fig6(TINY, metrics=MetricsRegistry(), tracer=tracer,
                         event_trace=EventTrace())
         assert rows_digest(rows) == rows_digest(run_fig6(TINY))
+        assert len(tracer) > 0
 
     def test_telemetry_worker_independent(self):
         snaps = []
@@ -192,3 +219,40 @@ class TestSummarizeRows:
             for r in rows
         ]
         assert summarize_rows(swapped, config)["fig6.order_violations"] == 1
+
+
+class TestEmulatedFigure6:
+    def test_emulation_reproduces_analytic_latency(self):
+        """Figure 6 as timed messages over the event-driven kernel
+        (deployed anchors, layered crypto, per-message link delays):
+        every latency is the analytic formula over the path taken."""
+        size = 2_000_000.0
+        for n_nodes in (100, 300):
+            system = TapSystem.bootstrap(num_nodes=n_nodes, seed=600 + n_nodes)
+            alice = system.tap_node(system.random_node_id("alice"))
+            system.deploy_thas(alice, count=20)
+            topology = Topology(seed=n_nodes)
+            emu = TapEmulation.from_system(system, topology=topology)
+            rng = system.seeds.pyrandom("fig6-emu")
+            tunnels = {
+                f"{mode}-l{length}": system.form_tunnel(
+                    alice, length, use_hints=mode == "opt")
+                for length in (3, 5) for mode in ("basic", "opt")
+            }
+            mean = dict.fromkeys(tunnels, 0.0)
+            for _ in range(5):
+                dest = rng.getrandbits(128)
+                for name, tunnel in tunnels.items():
+                    trace = emu.send_through_tunnel(alice, tunnel, dest, b"f",
+                                                    size_bits=size)
+                    emu.simulator.run()
+                    assert trace.delivered, trace.failed_reason
+                    analytic = path_transfer_time(
+                        topology, trace.path, size + CONTROL_BITS,
+                        TransferModel.STORE_AND_FORWARD,
+                    )
+                    assert abs(trace.latency - analytic) <= 1e-9
+                    mean[name] += trace.latency / 5
+            assert mean["opt-l3"] < mean["basic-l3"]
+            assert mean["opt-l5"] < mean["basic-l5"]
+            assert mean["opt-l3"] < mean["opt-l5"]

@@ -31,6 +31,10 @@ class TestScaleChurn:
     def rows(self):
         return run_scale_churn(TINY)
 
+    @pytest.fixture(scope="class")
+    def fast_rows(self):
+        return run_scale_churn(ScaleChurnConfig.fast())
+
     def test_row_shape(self, rows):
         churn = [r for r in rows if r["figure"] == "scale-churn"]
         sweeps = [r for r in rows if r["figure"] == "scale-churn-sweep"]
@@ -51,18 +55,23 @@ class TestScaleChurn:
                 assert row["root_hit_fraction"] == 1.0
                 assert row["mean_hops"] > 0
 
-    def test_churn_erodes_replica_sets(self, rows):
-        for rep in range(TINY.num_seeds):
-            series = [
-                r["replica_overlap"]
-                for r in rows
-                if r["figure"] == "scale-churn" and r["rep"] == rep
-            ]
-            assert series == sorted(series, reverse=True)
-            assert series[-1] < 1.0
+    def test_churn_erodes_replica_sets(self, rows, fast_rows):
+        for config, config_rows in ((TINY, rows),
+                                    (ScaleChurnConfig.fast(), fast_rows)):
+            for rep in range(config.num_seeds):
+                series = [
+                    r["replica_overlap"]
+                    for r in config_rows
+                    if r["figure"] == "scale-churn" and r["rep"] == rep
+                ]
+                assert series == sorted(series, reverse=True)
+                assert series[-1] < 1.0
+        # at the default rates most anchors keep an original replica
+        assert all(r["survivor_fraction"] > 0.9
+                   for r in fast_rows if r["figure"] == "scale-churn")
 
-    def test_spot_checks_agree_with_bridge(self, rows):
-        for row in rows:
+    def test_spot_checks_agree_with_bridge(self, rows, fast_rows):
+        for row in rows + fast_rows:
             if row["figure"] == "scale-churn-spot":
                 assert row["agree"] == row["routes"]
                 assert row["mean_hops"] >= 0

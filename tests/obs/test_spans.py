@@ -105,6 +105,38 @@ class TestTiming:
         assert leg in list(tr)
         assert leg.duration == pytest.approx(1.5)
 
+    def test_deferred_records_match_eager_calls(self):
+        def request(tracer, legs):
+            root = tracer.start_trace("tap.request", scheme="s")
+            for i, name in enumerate(legs):
+                tracer.add_span(name, parent=root, sim_start=i, sim_end=i + 1)
+            tracer.finish(root.set_sim(0.0, len(legs)), links=len(legs))
+
+        def drive(tracer, record):
+            outer = tracer.start_trace("outer")
+            record(tracer, ["dht.route", "hint.direct"])
+            tracer.add_span("inner", parent=outer)
+            tracer.finish(outer)
+            record(tracer, ["dht.route"])  # still queued at handoff
+
+        def shape(spans):
+            return [(s.trace_id, s.span_id, s.parent_id, s.name,
+                     s.sim_start, s.sim_end, s.attrs) for s in spans]
+
+        eager, worker = SpanTracer(), SpanTracer()
+        drive(eager, request)
+        drive(worker, lambda tracer, legs: tracer.defer(request, legs))
+        spans, deferred = worker.handoff()
+        assert len(spans) == 5 and len(deferred) == 1
+        # built in a parent: same spans, ids drawn after the absorbed ones
+        eager_parent, lazy_parent = SpanTracer(), SpanTracer()
+        eager_parent.absorb(eager.finished)
+        assert lazy_parent.absorb(spans, deferred) == 5
+        assert shape(lazy_parent) == shape(eager_parent)
+        assert lazy_parent.completed == eager_parent.completed == 7
+        assert shape(worker) == shape(eager)  # built in place on read
+        assert worker.start_trace("next").span_id == 7
+
     def test_unfinished_span_has_no_wall_duration(self):
         tr = SpanTracer()
         s = tr.start_trace("x")

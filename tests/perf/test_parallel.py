@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments.config import Fig2Config
 from repro.experiments.fig2_failures import run_fig2
-from repro.obs import EventTrace, MetricsRegistry, SpanTracer
+from repro.obs import NULL_TRACER, EventTrace, MetricsRegistry, SpanTracer
 from repro.perf import (
     canonical_json,
     derive_trial_seed,
@@ -157,6 +157,8 @@ class TestObsMerge:
         ids = [s.span_id for s in parent.finished]
         assert len(ids) == len(set(ids))
         assert spans["tap.request"].span_id > pre.span_id
+        assert parent.completed == 3
+        assert parent.start_trace("next").span_id == max(ids) + 1
 
     def test_event_absorb_resequences(self):
         parent, worker = EventTrace(), EventTrace()
@@ -216,6 +218,29 @@ class TestDigestGate:
         )
         assert with_policy["policy"] == "resilient"
         assert baseline["policy"] == "baseline"
+
+    @pytest.mark.parametrize("runner", ["fig6", "hints", "sessions"])
+    def test_null_tracer_is_no_tracer(self, runner):
+        """A falsy tracer asks the trials for no spans (it has nowhere
+        to absorb them)."""
+        from repro.experiments.ablation import HintStalenessConfig, run_hint_staleness
+        from repro.experiments.config import Fig6Config
+        from repro.experiments.fig6_latency import run_fig6
+        from repro.experiments.session_survival import (
+            SessionSurvivalConfig,
+            run_session_survival,
+        )
+
+        run, cfg = {
+            "fig6": (run_fig6, Fig6Config(network_sizes=(100,),
+                                          transfers_per_size=2, num_seeds=1)),
+            "hints": (run_hint_staleness, HintStalenessConfig(
+                num_nodes=60, tunnels=2, churn_steps=(0, 3))),
+            "sessions": (run_session_survival, SessionSurvivalConfig(
+                num_nodes=60, sessions=1, requests_per_session=2,
+                failures_per_request=(1,))),
+        }[runner]
+        assert rows_digest(run(cfg, tracer=NULL_TRACER)) == rows_digest(run(cfg))
 
     def test_fig6_obs_identical_across_worker_counts(self):
         from repro.experiments.config import Fig6Config

@@ -7,6 +7,7 @@ from repro.simnet.transport import (
     TransferModel,
     path_transfer_time,
     serialization_delay,
+    store_and_forward_time,
     transfer_time,
 )
 
@@ -51,6 +52,17 @@ class TestPathTransfer:
         # 3 hops, fixed 0.1s latency: 3*0.1 + 3*(1000/1000)
         t = path_transfer_time(topo, [1, 2, 3, 4], 1000.0)
         assert t == pytest.approx(0.3 + 3.0)
+
+    def test_store_and_forward_from_link_latencies(self):
+        topo = Topology(seed=4)
+        path = [11, 7, 42, 99, 3]
+        latencies = topo.link_latencies(path)
+        assert latencies == [topo.latency(a, b) for a, b in zip(path, path[1:])]
+        assert sum(latencies) == topo.path_latency(path)
+        serial = serialization_delay(2e6, topo.bandwidth_bps)
+        assert store_and_forward_time(latencies, serial) == path_transfer_time(
+            topo, path, 2e6)
+        assert store_and_forward_time([], serial) == 0.0
 
     def test_pipelined_beats_store_and_forward(self, topo):
         saf = path_transfer_time(topo, [1, 2, 3, 4], 10_000.0,

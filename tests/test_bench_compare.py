@@ -3,7 +3,9 @@
 The harness itself lives outside the package in ``tools/``, so it is
 loaded by path; only the pure comparison/gate functions are exercised
 — ``compare`` (baseline carry-forward + loud missing-benchmark
-warning) and ``batch_speedup_failures`` (per-route normalisation).
+warning), ``overhead_failures`` (same-run telemetry pairs with the
+noise-floor widening) and ``batch_speedup_failures`` (per-route
+normalisation).
 """
 
 from __future__ import annotations
@@ -175,3 +177,81 @@ class TestBatchSpeedupGate:
         results = self._results(bench, 10.0)
         del results["compact.route_100k"]
         assert bench.batch_speedup_failures(results) == []
+
+
+class TestOverheadGate:
+    @staticmethod
+    def _results(**ns) -> dict:
+        return {k.replace("__", "."): {"median_ns": v} for k, v in ns.items()}
+
+    def test_fig6_pairs_are_registered_with_their_bars(self, bench):
+        pairs = bench.OVERHEAD_PAIRS
+        assert pairs["compact.churn_100k_telemetry"] == ("compact.churn_100k", 1.05, None)
+        assert pairs["fig6.null_tracer"] == ("fig6.bare", 1.02, "fig6.bare_twin")
+        assert pairs["fig6.live_tracer"] == ("fig6.bare", 1.10, "fig6.bare_twin")
+        assert pairs["fig6.metrics"] == ("fig6.bare", 1.05, None)
+        for inst, (bare, _bar, twin) in pairs.items():
+            for name in (inst, bare, twin):
+                assert name is None or name in {**bench.SCALE, **bench.OVERHEAD}
+
+    def test_under_every_bar_passes(self, bench, capsys):
+        results = self._results(
+            fig6__bare=100.0, fig6__bare_twin=100.0, fig6__null_tracer=101.9,
+            fig6__live_tracer=109.9, fig6__metrics=104.9,
+            compact__churn_100k=100.0, compact__churn_100k_telemetry=104.9,
+        )
+        assert bench.overhead_failures(results) == []
+        assert capsys.readouterr().out.count(" ok") == 4
+
+    @pytest.mark.parametrize("inst, bar", [
+        ("fig6.null_tracer", 1.02), ("fig6.live_tracer", 1.10),
+        ("fig6.metrics", 1.05),
+    ])
+    def test_over_the_bar_fails(self, bench, inst, bar):
+        results = self._results(fig6__bare=100.0, fig6__bare_twin=100.0)
+        results[inst] = {"median_ns": 100.0 * bar + 0.1}
+        failures = bench.overhead_failures(results)
+        assert len(failures) == 1 and failures[0].startswith(f"{inst}:")
+        results[inst] = {"median_ns": 100.0 * bar}  # the bar itself fails too
+        assert len(bench.overhead_failures(results)) == 1
+
+    def test_missing_member_is_skipped(self, bench):
+        slow = self._results(fig6__bare=100.0, fig6__live_tracer=500.0,
+                             fig6__null_tracer=500.0, fig6__metrics=500.0)
+        # both tracer pairs lack their twin; only the metrics pair runs
+        failures = bench.overhead_failures(slow)
+        assert [f.split(":")[0] for f in failures] == ["fig6.metrics"]
+        assert bench.overhead_failures(
+            self._results(fig6__bare_twin=100.0, fig6__metrics=500.0)) == []
+
+    def test_noise_floor_widens_the_tracer_bars(self, bench):
+        # the twin disagrees by 4%: the 2% null-tracer bar becomes 6%
+        # against the faster of the two bare runs
+        results = self._results(fig6__bare=104.0, fig6__bare_twin=100.0,
+                                fig6__null_tracer=105.9)
+        assert bench.overhead_failures(results) == []
+        results["fig6.null_tracer"] = {"median_ns": 106.1}
+        assert len(bench.overhead_failures(results)) == 1
+        # which bare run is the faster one does not matter
+        results = self._results(fig6__bare=100.0, fig6__bare_twin=104.0,
+                                fig6__live_tracer=113.9)
+        assert bench.overhead_failures(results) == []
+
+    def test_noise_floor_never_widens_unpaired_bars(self, bench):
+        results = self._results(
+            fig6__bare=100.0, fig6__bare_twin=130.0, fig6__metrics=105.1,
+            compact__churn_100k=100.0, compact__churn_100k_telemetry=105.1)
+        failures = bench.overhead_failures(results)
+        assert sorted(f.split(":")[0] for f in failures) == [
+            "compact.churn_100k_telemetry", "fig6.metrics"]
+
+    def test_run_overhead_times_every_member(self, bench, monkeypatch):
+        calls = []
+        names = ("x.bare", "x.twin", "x.inst")
+        monkeypatch.setattr(bench, "OVERHEAD", {
+            n: lambda n=n: (lambda: calls.append(n)) for n in names})
+        monkeypatch.setattr(bench, "OVERHEAD_PAIRS", {
+            "x.inst": ("x.bare", 1.05, "x.twin")})
+        assert set(bench.run_overhead(rounds=1)) == set(names)
+        # one warm-up call, then one call per round each
+        assert sorted(calls) == sorted(names * 2)

@@ -13,14 +13,14 @@ independent uniform k-subsets, hop events are hypergeometric.
 
 from __future__ import annotations
 
-from scipy.special import comb
+import math
 
 
 def _hyper_all_in_subset(n_total: int, n_subset: int, k: int) -> float:
     """P(all k draws land in the marked subset), without replacement."""
     if k > n_subset:
         return 0.0
-    return float(comb(n_subset, k, exact=False) / comb(n_total, k, exact=False))
+    return math.comb(n_subset, k) / math.comb(n_total, k)
 
 
 def _hyper_any_in_subset(n_total: int, n_subset: int, k: int) -> float:
@@ -29,8 +29,8 @@ def _hyper_any_in_subset(n_total: int, n_subset: int, k: int) -> float:
         return 0.0
     if k > n_total - n_subset:
         return 1.0
-    none = comb(n_total - n_subset, k, exact=False) / comb(n_total, k, exact=False)
-    return float(1.0 - none)
+    none = math.comb(n_total - n_subset, k) / math.comb(n_total, k)
+    return 1.0 - none
 
 
 def tunnel_failure_prob_current(p: float, length: int, n_nodes: int | None = None) -> float:
@@ -43,8 +43,8 @@ def tunnel_failure_prob_current(p: float, length: int, n_nodes: int | None = Non
     if n_nodes is None:
         return 1.0 - (1.0 - p) ** length
     failed = round(p * n_nodes)
-    survive = comb(n_nodes - failed, length) / comb(n_nodes, length)
-    return float(1.0 - survive)
+    survive = math.comb(n_nodes - failed, length) / math.comb(n_nodes, length)
+    return 1.0 - survive
 
 
 def tunnel_failure_prob_tap(
@@ -91,8 +91,6 @@ def first_and_tail_prob(p: float, k: int, n_nodes: int | None = None) -> float:
 
 def expected_route_hops(n_nodes: int, b_bits: int = 4) -> float:
     """Pastry's ``log_{2^b} N`` expected overlay route length."""
-    import math
-
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     if n_nodes == 1:
